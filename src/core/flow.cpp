@@ -126,16 +126,16 @@ LithoSimulator with_abbe(const LithoSimulator& sim) {
 
 // ---- Batched window staging (see "Batched window execution", DESIGN.md) ----
 //
-// The hot loops hand parallel_for a chunk equal to the SoA batch width, and
-// the worker that owns a chunk stages it whole at the chunk's first index:
-// probe journal and cache, batch-image only the windows that would actually
-// compute, park the results in per-index slots, then let the unchanged
-// per-index body consume them.  Staged results are bit-identical to the
-// scalar computations they replace, so everything downstream — cache
-// insertion order within the chunk, journal payloads, containment — is
-// exactly the unbatched loop's.  Staging is best-effort: any staging
-// failure just clears the slots and the per-index body recomputes scalar,
-// under its own fault scope.
+// The window pipeline hands parallel_for a chunk equal to the SoA batch
+// width, and the worker that owns a chunk of leaders stages it whole at the
+// chunk's first index: the phase's stage hook batch-images only the windows
+// that would actually compute (no journal record, no cache entry) and parks
+// the results in per-index slots for the per-index compute to consume.
+// Staged results are bit-identical to the scalar computations they
+// replace, so everything downstream — cache insertion order within the
+// chunk, journal payloads, containment — is exactly the unbatched loop's.
+// Staging is best-effort: any staging failure just clears the slots and
+// the per-index compute runs scalar, under its own fault scope.
 
 /// What batch_windows = kBatchWindowsAuto resolves to — and therefore the
 /// parallel chunk size of a batching hot loop ("auto = par chunk size").
@@ -196,11 +196,12 @@ Fingerprint latent_window_fp(const LithoSimulator& sim,
   return h.digest();
 }
 
-/// Drawn (uncorrected) mask of a window's targets: kNone OPC and the
-/// degradation fallback when every OPC attempt faulted.
-std::vector<Rect> drawn_mask(const std::vector<Polygon>& targets) {
+/// Mask rectangles of a polygon set: the drawn (uncorrected) mask of a
+/// window's targets — kNone OPC and the degradation fallback when every
+/// OPC attempt faulted — and the mask of rule-based corrected polygons.
+std::vector<Rect> mask_of(const std::vector<Polygon>& polys) {
   std::vector<Rect> rects;
-  for (const Polygon& p : targets) {
+  for (const Polygon& p : polys) {
     for (const Rect& r : decompose(p)) rects.push_back(r);
   }
   return disjoint_union(rects);
@@ -222,11 +223,11 @@ Image2D rebased(const Image2D& img, double dx, double dy) {
 // Window results are exact functions of the window's local content
 // (canonical flatten order, window-local OPC/ORC frames, integer
 // translation), so loop indices whose content keys match need one
-// computation.  Each hot loop builds every index's window content and key
-// once, in a pre-pass; equal keys form a group whose lowest index — the
-// leader — runs in a first wave.  The other indices — members — run the
-// same loop body in a second wave, once every leader is done, and hit the
-// entry their leader left in the window cache (translated to their own
+// computation.  The window pipeline builds every index's window content
+// and key once, in a pre-pass; equal keys form a group whose lowest index
+// — the leader — runs in a first wave.  The other indices — members — run
+// the same loop body in a second wave, once every leader is done, and hit
+// the entry their leader left in the window cache (translated to their own
 // window, as any hit is).  A member whose entry is missing (the leader
 // faulted, or the entry was evicted) recomputes, so results never depend
 // on the grouping.  Journal records and containment outcomes stay per
@@ -241,6 +242,9 @@ struct WindowWork {
   /// degraded instance).
   std::optional<Fingerprint> key;
   Fingerprint jfp;  ///< journal record identity (when journaling)
+  /// Nothing to stage, compute or journal (extraction: a gate of a
+  /// degraded OPC instance).
+  bool skip = false;
   Point anchor() const { return {window.xlo, window.ylo}; }
 };
 
@@ -250,7 +254,7 @@ struct SingleFlight {
   std::vector<std::size_t> members;  ///< ascending loop indices
 };
 
-/// The pre-pass shared by the three hot loops: `build` fills each index's
+/// The window pipeline's pre-pass: `build` fills each index's
 /// WindowWork (in parallel, one slot per index), then indices with equal
 /// keys are grouped, the lowest index leading.  Unkeyed indices lead
 /// their own group — without a window cache there are no keys, and the
@@ -323,7 +327,9 @@ Rect instance_window(const LayoutDb& layout, std::size_t instance,
 // Payloads store exactly the bits the hot loops would recompute (integers
 // verbatim, doubles as IEEE-754 bit patterns), so a replay is
 // indistinguishable from a recompute downstream.  Decoders return false on
-// any structural mismatch; the caller then recomputes the window.
+// any structural mismatch; the caller then recomputes the window.  The OPC
+// payload is the OPC disk-cache entry plus a degraded byte (see the
+// disk-tier codecs below).
 
 void encode_rects(ByteWriter& w, const std::vector<Rect>& rects) {
   w.u32(static_cast<std::uint32_t>(rects.size()));
@@ -348,36 +354,6 @@ bool decode_rects(ByteReader& r, std::vector<Rect>& rects) {
     rects.push_back(rect);
   }
   return r.ok();
-}
-
-std::vector<std::uint8_t> encode_opc_payload(const std::vector<Rect>& mask,
-                                             const OpcStats& s,
-                                             bool degraded) {
-  ByteWriter w;
-  encode_rects(w, mask);
-  w.u64(s.windows);
-  w.u64(s.model_based_windows);
-  w.u64(s.fragments);
-  w.u64(s.iterations);
-  w.f64(s.max_abs_epe_nm);
-  w.f64(s.rms_epe_sum);
-  w.u8(degraded ? 1 : 0);
-  return w.take();
-}
-
-bool decode_opc_payload(const std::vector<std::uint8_t>& bytes,
-                        std::vector<Rect>& mask, OpcStats& s,
-                        bool& degraded) {
-  ByteReader r(bytes);
-  if (!decode_rects(r, mask)) return false;
-  s.windows = r.u64();
-  s.model_based_windows = r.u64();
-  s.fragments = r.u64();
-  s.iterations = r.u64();
-  s.max_abs_epe_nm = r.f64();
-  s.rms_epe_sum = r.f64();
-  degraded = r.u8() != 0;
-  return r.done();
 }
 
 std::vector<std::uint8_t> encode_extract_payload(const GateExtraction& ext) {
@@ -492,15 +468,10 @@ void hash_mosfet(FpHasher& h, const MosfetParams& p) {
 
 }  // namespace
 
-/// The three flow-level result caches.  Values are stored in the window's
-/// local frame (anchor = window origin subtracted from all coordinates) and
-/// translated back on a hit, so one entry serves every placement of the
-/// same cell context.  Translation of integer geometry and of half-integer
-/// image origins is exact, which keeps hits bit-identical to recomputes.
 /// Containment bookkeeping.  Worker threads only ever touch the sorted
 /// degraded-gate set (order-independent); fault entries are appended by the
-/// calling thread in window-index order via record_outcomes, so health() is
-/// bit-identical at any thread count.
+/// calling thread in window-index order by the window pipeline, so health()
+/// is bit-identical at any thread count.
 struct PostOpcFlow::HealthState {
   std::mutex mutex;
   std::vector<FlowHealth::WindowFault> faults;
@@ -512,18 +483,18 @@ struct PostOpcFlow::TimingState {
   std::unique_ptr<TimingGraph> graph;  ///< null until first warm re-time
 };
 
+/// The three flow-level result caches.  Values are stored in the window's
+/// local frame (anchor = window origin subtracted from all coordinates) and
+/// translated back on a hit, so one entry serves every placement of the
+/// same cell context.  Translation of integer geometry and of half-integer
+/// image origins is exact, which keeps hits bit-identical to recomputes.
 struct PostOpcFlow::WindowCaches {
-  /// Corrected mask + per-window OPC stats, local frame.
-  struct OpcEntry {
-    std::vector<Rect> mask;
-    OpcStats stats;
-  };
   /// ORC report with violation coordinates in the local frame.
   struct OrcEntry {
     OrcReport report;
   };
 
-  ShardedCache<OpcEntry> opc;
+  ShardedCache<OpcWindowResult> opc;  ///< mask + OPC stats, local frame
   ShardedCache<Image2D> latent;
   ShardedCache<OrcEntry> orc;
 
@@ -542,7 +513,7 @@ namespace {
 // mismatch (the cache then reports a miss and the window recomputes).
 
 std::vector<std::uint8_t> encode_opc_entry(
-    const PostOpcFlow::WindowCaches::OpcEntry& e) {
+    const PostOpcFlow::OpcWindowResult& e) {
   ByteWriter w;
   encode_rects(w, e.mask);
   w.u64(e.stats.windows);
@@ -554,18 +525,40 @@ std::vector<std::uint8_t> encode_opc_entry(
   return w.take();
 }
 
-std::shared_ptr<PostOpcFlow::WindowCaches::OpcEntry> decode_opc_entry(
+/// Reads encode_opc_entry's bytes into `e`; they must be all `r` holds.
+bool read_opc_entry(ByteReader& r, PostOpcFlow::OpcWindowResult& e) {
+  if (!decode_rects(r, e.mask)) return false;
+  e.stats.windows = r.u64();
+  e.stats.model_based_windows = r.u64();
+  e.stats.fragments = r.u64();
+  e.stats.iterations = r.u64();
+  e.stats.max_abs_epe_nm = r.f64();
+  e.stats.rms_epe_sum = r.f64();
+  return r.done();
+}
+
+std::shared_ptr<PostOpcFlow::OpcWindowResult> decode_opc_entry(
     const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
-  auto e = std::make_shared<PostOpcFlow::WindowCaches::OpcEntry>();
-  if (!decode_rects(r, e->mask)) return nullptr;
-  e->stats.windows = r.u64();
-  e->stats.model_based_windows = r.u64();
-  e->stats.fragments = r.u64();
-  e->stats.iterations = r.u64();
-  e->stats.max_abs_epe_nm = r.f64();
-  e->stats.rms_epe_sum = r.f64();
-  return r.done() ? e : nullptr;
+  auto e = std::make_shared<PostOpcFlow::OpcWindowResult>();
+  return read_opc_entry(r, *e) ? e : nullptr;
+}
+
+/// The OPC journal payload: the window's cache-entry bytes plus a trailing
+/// degraded byte.  Decoding reads in place into the window's slot.
+std::vector<std::uint8_t> encode_opc_payload(
+    const PostOpcFlow::OpcWindowResult& r, bool degraded) {
+  std::vector<std::uint8_t> bytes = encode_opc_entry(r);
+  bytes.push_back(degraded ? 1 : 0);
+  return bytes;
+}
+
+bool decode_opc_payload(const std::vector<std::uint8_t>& bytes,
+                        PostOpcFlow::OpcWindowResult& r, bool& degraded) {
+  if (bytes.empty()) return false;
+  ByteReader entry(bytes.data(), bytes.size() - 1);
+  degraded = bytes.back() != 0;
+  return read_opc_entry(entry, r);
 }
 
 std::vector<std::uint8_t> encode_latent_entry(const Image2D& img) {
@@ -887,23 +880,175 @@ void PostOpcFlow::reset_health() const {
   health_state_->degraded_gates.clear();
 }
 
-void PostOpcFlow::record_outcomes(
-    const char* phase, const std::vector<ItemOutcome>& outcomes,
-    const std::vector<std::uint64_t>& indices) const {
+// ---- The window pipeline (see "Window pipeline", DESIGN.md) ---------------
+//
+// The OPC, extraction and hotspot-scan loops are one driver over three
+// phase descriptions, in the shape of the Galois operator/executor split:
+// the phase is the operator (what one window computes), the pipeline the
+// executor (how windows are scheduled, replayed, retried, degraded and
+// reported).  Fail-fast is the same body with one attempt and no degrade.
+// Each window's containment outcome is the JournalOutcome its record
+// carries, so a replayed window restores it verbatim.
+
+namespace {
+
+/// Records `e` as the window's first fault.
+void set_first_error(JournalOutcome& oc, const FlowError& e) {
+  oc.faulted = true;
+  oc.code = e.code;
+  oc.origin = e.origin;
+  oc.message = e.message;
+}
+
+}  // namespace
+
+/// One hot loop as run_window_pipeline drives it.  Loop index k is a
+/// position in `work`; `index[k]` is what the phase reports — instance
+/// (opc, scan) or gate (extract) — in fault scopes, journal records and
+/// FlowHealth.  Each hook touches only its own loop index's slots (stage:
+/// its chunk's), so the pipeline may run it on any worker.
+struct PostOpcFlow::WindowPhase {
+  WindowPhase(const char* name, JournalPhase journal_phase,
+              fault::Domain domain, std::size_t chunk,
+              std::vector<std::uint64_t> index)
+      : name(name),
+        origin(std::string("flow.") + name),
+        journal_phase(journal_phase),
+        domain(domain),
+        chunk(chunk),
+        index(std::move(index)),
+        work(this->index.size()) {}
+
+  const char* name;    ///< FlowHealth phase: "opc" | "extract" | "scan"
+  std::string origin;  ///< capture site of a faulted attempt: "flow.<name>"
+  JournalPhase journal_phase;
+  fault::Domain domain;
+  /// Parallel chunk: the SoA batch width when batching, else 1.
+  std::size_t chunk;
+  std::vector<std::uint64_t> index;
+  std::vector<WindowWork> work;
+  /// Pre-pass: fills work[k] — window, targets, content key, journal fp.
+  std::function<void(std::size_t, WindowWork&)> build;
+  /// Optional batched staging, called once per chunk of leaders by the
+  /// worker that owns it, with the chunk's leaders that have no journal
+  /// record (ascending).  Best-effort: parks results for compute(k, 0).
+  std::function<void(const std::vector<std::size_t>&)> stage;
+  /// compute(k, attempt) fills k's result slot.  Attempt 0 runs nominal
+  /// settings through the window cache and the staged result; a retry
+  /// runs the phase's retry settings with no cache.
+  std::function<void(std::size_t, std::size_t)> compute;
+  /// Fallback result once every attempt faulted.
+  std::function<void(std::size_t)> degrade;
+  /// Journal payload of k's result slot, and its inverse (false on a
+  /// structural mismatch: the window recomputes).
+  std::function<std::vector<std::uint8_t>(std::size_t)> encode;
+  std::function<bool(std::size_t, const JournalRecord&)> decode;
+};
+
+void PostOpcFlow::run_window_pipeline(WindowPhase& phase) const {
+  // Flush on every exit path — including the kCancelled unwind — so a
+  // graceful shutdown leaves each drained window durable on disk.
+  struct JournalFlusher {
+    RunJournal* j;
+    ~JournalFlusher() {
+      if (j != nullptr) j->flush();
+    }
+  } flusher{journal_.get()};
+
+  std::vector<WindowWork>& work = phase.work;
+  const SingleFlight plan = plan_windows(threads(), work, phase.build);
+  // Fail-fast (containment off) is this body with one attempt.
+  const bool contain = options_.recovery.enabled;
+  const std::size_t max_attempts =
+      contain ? 1 + options_.recovery.max_retries : 1;
+  std::vector<JournalOutcome> outcomes(work.size());
+  const auto append = [&](std::size_t k) {
+    if (!journal_) return;
+    journal_->append({phase.journal_phase, phase.index[k], work[k].jfp,
+                      outcomes[k], phase.encode(k)});
+  };
+
+  std::function<void(const ChunkSpan&)> stage;
+  if (phase.stage) {
+    stage = [&](const ChunkSpan& span) {
+      std::vector<std::size_t> pending;
+      for (std::size_t p = span.lo; p < span.hi; ++p) {
+        const std::size_t k = plan.leaders[p];
+        // A journaled window replays rather than computes.
+        if (work[k].skip || (journal_ && journal_->has(work[k].jfp))) continue;
+        pending.push_back(k);
+      }
+      if (!pending.empty()) phase.stage(pending);
+    };
+  }
+
+  const auto body = [&](std::size_t k) {
+    if (work[k].skip) return;
+    const std::uint64_t index = phase.index[k];
+    JournalOutcome& oc = outcomes[k];
+    if (journal_) {
+      if (const JournalRecord* hit = journal_->find(work[k].jfp)) {
+        if (phase.decode(k, *hit)) {
+          // The journaled outcome makes health() match the uninterrupted
+          // run entry for entry.
+          oc = hit->outcome;
+          return;
+        }
+      }
+    }
+    fault::Scope scope(phase.domain, index);
+    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+      try {
+        fault::maybe_throw(fault::Kind::kAlloc);
+        phase.compute(k, attempt);
+        oc.attempts = static_cast<std::uint32_t>(attempt + 1);
+        oc.recovered = attempt > 0;
+        append(k);
+        return;
+      } catch (...) {
+        // Fail-fast: the original exception leaves the loop, which skips
+        // the rest of its chunk and rethrows the lowest-index error.
+        if (!contain) throw;
+        if (!oc.faulted) {
+          set_first_error(oc, capture_flow_error(index, phase.origin));
+        }
+        oc.attempts = static_cast<std::uint32_t>(attempt + 1);
+      }
+    }
+    oc.degraded = true;
+    phase.degrade(k);
+    append(k);
+  };
+  const std::vector<IndexedError> escaped =
+      run_single_flight(plan, contain, threads(), phase.chunk, stage, body,
+                        phase.origin, cancel_token());
+  // Containment absorbs every attempt, so an escaped error is a bug in the
+  // replay or degrade path itself — still fold it in rather than lose it.
+  for (const IndexedError& e : escaped) {
+    set_first_error(outcomes[e.index], e.error);
+    outcomes[e.index].degraded = true;
+    try {
+      phase.degrade(e.index);
+    } catch (...) {
+      // The outcome already reports the window degraded; a fallback that
+      // throws again leaves the slot as it stands.
+    }
+  }
+
   std::lock_guard<std::mutex> lock(health_state_->mutex);
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const ItemOutcome& oc = outcomes[k];
+    const JournalOutcome& oc = outcomes[k];
     if (!oc.faulted) continue;
     FlowHealth::WindowFault f;
-    f.phase = phase;
-    f.index = indices[k];
-    f.code = oc.first_error.code;
-    f.origin = oc.first_error.origin;
+    f.phase = phase.name;
+    f.index = phase.index[k];
+    f.code = oc.code;
+    f.origin = oc.origin;
     f.attempts = oc.attempts;
     f.recovered = oc.recovered;
     f.degraded = oc.degraded;
-    log_warn("flow ", phase, " window ", f.index, " fault ",
-             oc.first_error.to_string(),
+    log_warn("flow ", phase.name, " window ", f.index, " fault ",
+             FlowError{oc.code, f.index, oc.origin, oc.message}.to_string(),
              oc.degraded ? " -> degraded"
                          : (oc.recovered ? " -> recovered" : ""));
     health_state_->faults.push_back(std::move(f));
@@ -1011,27 +1156,19 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(
   const Point anchor{window.xlo, window.ylo};
   if (cache) {
     if (const auto hit = caches_->opc.find(*cache_key)) {
-      out.mask = translated(hit->mask, anchor);
-      out.stats = hit->stats;
-      return out;
+      return {translated(hit->mask, anchor), hit->stats};
     }
   }
 
   ++out.stats.windows;
   switch (mode) {
     case OpcMode::kNone:
-      out.mask = drawn_mask(targets);
+      out.mask = mask_of(targets);
       break;
     case OpcMode::kRuleBased: {
       std::vector<Fragment> frags =
           fragment_polygons(targets, opc_options.fragmentation);
-      const std::vector<Polygon> corrected =
-          rule_based_opc(targets, frags, RuleOpcTable{});
-      std::vector<Rect> rects;
-      for (const Polygon& p : corrected) {
-        for (const Rect& r : decompose(p)) rects.push_back(r);
-      }
-      out.mask = disjoint_union(rects);
+      out.mask = mask_of(rule_based_opc(targets, frags, RuleOpcTable{}));
       out.stats.fragments += frags.size();
       break;
     }
@@ -1054,11 +1191,10 @@ PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(
   }
 
   if (cache) {
-    auto entry = std::make_shared<WindowCaches::OpcEntry>();
-    entry->mask = translated(out.mask, Point{-anchor.x, -anchor.y});
-    entry->stats = out.stats;
+    auto entry = std::make_shared<OpcWindowResult>(OpcWindowResult{
+        translated(out.mask, Point{-anchor.x, -anchor.y}), out.stats});
     const std::size_t cost =
-        out.mask.size() * sizeof(Rect) + sizeof(WindowCaches::OpcEntry);
+        out.mask.size() * sizeof(Rect) + sizeof(OpcWindowResult);
     caches_->opc.insert(*cache_key, std::move(entry), cost);
   }
   return out;
@@ -1068,244 +1204,121 @@ void PostOpcFlow::run_opc_windows(
     const std::function<OpcMode(std::size_t)>& mode_for_instance,
     const std::vector<std::size_t>* subset) {
   const std::size_t n = design_->layout.num_instances();
-  masks_.assign(n, {});
-  opc_degraded_.assign(n, 0);
-  // Loop space: all instances, or a shard's subset of them.  Slots stay
-  // design-sized (indexed by instance); the loop index k maps through
-  // inst_of so the shard path shares every line below.
-  const std::size_t m = subset != nullptr ? subset->size() : n;
-  const auto inst_of = [subset](std::size_t k) {
-    return subset != nullptr ? (*subset)[k] : k;
-  };
-  // Each window writes its own mask slot; the per-window stats are merged
-  // on the calling thread in instance order, so the aggregate is
+  // Slots stay design-sized (indexed by instance); the loop index k maps
+  // to an instance through phase.index, so a shard's subset shares every
+  // line below.  Each window writes its own slot; the per-window stats are
+  // merged on the calling thread in instance order, so the aggregate is
   // bit-identical whatever the thread count.
-  std::vector<OpcStats> per_window(n);
-  const CancelToken* cancel = cancel_token();
-  // Flush on every exit path — including the kCancelled unwind — so a
-  // graceful shutdown leaves each drained window durable on disk.
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
+  opc_windows_.assign(n, {});
+  opc_degraded_.assign(n, 0);
+  const std::size_t m = subset != nullptr ? subset->size() : n;
+  std::vector<std::uint64_t> instances(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    instances[k] = subset != nullptr ? (*subset)[k] : k;
+  }
+  WindowPhase phase("opc", JournalPhase::kOpc, fault::Domain::kOpc,
+                    loop_chunk(sim_), std::move(instances));
+  const std::vector<WindowWork>& work = phase.work;
 
-  // Single-flight pre-pass: each index's window, drawn targets, content key
-  // and journal identity, built once for staging, body and members alike.
   std::vector<OpcMode> modes(m);
-  std::vector<WindowWork> work(m);
-  const SingleFlight plan =
-      plan_windows(threads(), work, [&](std::size_t k, WindowWork& w) {
-        const std::size_t i = inst_of(k);
-        modes[k] = mode_for_instance(i);
-        w.window = instance_window(design_->layout, i, options_.ambit_nm);
-        w.targets = design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
-        if (caches_ && !w.targets.empty()) {
-          w.key =
-              opc_cache_fp(modes[k], w.window, w.targets, sim_, options_.opc);
-        }
-        if (journal_) w.jfp = opc_record_fp(i, modes[k], w.window, w.targets);
-      });
-  const auto cache_key = [&](std::size_t k) {
-    return work[k].key ? &*work[k].key : nullptr;
-  };
-
-  // Journal replay/append around the compute: a hit restores the window's
-  // mask/stats/degradation bits; a computed window appends them.  Returns
-  // true when the record replayed cleanly.
-  const auto replay_window = [&](const JournalRecord& rec, std::size_t i) {
-    bool degraded = false;
-    if (!decode_opc_payload(rec.payload, masks_[i], per_window[i], degraded)) {
-      return false;
+  phase.build = [&](std::size_t k, WindowWork& w) {
+    const std::size_t i = phase.index[k];
+    modes[k] = mode_for_instance(i);
+    w.window = instance_window(design_->layout, i, options_.ambit_nm);
+    w.targets = design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
+    if (caches_ && !w.targets.empty()) {
+      w.key = opc_cache_fp(modes[k], w.window, w.targets, sim_, options_.opc);
     }
-    opc_degraded_[i] = degraded ? 1 : 0;
-    return true;
-  };
-  const auto journal_window = [&](const Fingerprint& fp, std::size_t i,
-                                  const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kOpc;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload =
-        encode_opc_payload(masks_[i], per_window[i], opc_degraded_[i] != 0);
-    journal_->append(std::move(rec));
+    if (journal_) w.jfp = opc_record_fp(i, modes[k], w.window, w.targets);
   };
 
-  // Batched staging: the worker owning a chunk of leaders runs the
-  // model-based windows that would actually compute (journal and cache
-  // misses) through the lockstep correct_batch, then the unchanged
-  // per-instance bodies consume the parked, bit-identical results.
-  // Best-effort: any staging failure falls back to the scalar engine under
-  // the window's own fault scope.
-  const std::size_t chunk = loop_chunk(sim_);
-  std::vector<std::unique_ptr<OpcResult>> staged(n);
-  std::function<void(const ChunkSpan&)> stage_chunk;
+  // Batched staging: the chunk's model-based windows that would compute
+  // run through the lockstep correct_batch.
+  std::vector<std::unique_ptr<OpcResult>> staged(m);
   if (batching_enabled(sim_)) {
-    stage_chunk = [&](const ChunkSpan& span) {
+    phase.stage = [&](const std::vector<std::size_t>& leaders) {
       std::vector<OpcBatchJob> jobs;
-      std::vector<std::size_t> insts;
-      for (std::size_t p = span.lo; p < span.hi; ++p) {
-        const std::size_t k = plan.leaders[p];
+      std::vector<std::size_t> ks;
+      for (const std::size_t k : leaders) {
         const WindowWork& w = work[k];
         if (modes[k] != OpcMode::kModelBased || w.targets.empty()) continue;
-        if (journal_ && journal_->find(w.jfp) != nullptr) {
-          continue;  // will replay from the journal, not compute
-        }
         if (caches_ != nullptr && caches_->opc.peek(*w.key) != nullptr) {
-          continue;  // the consumption path will hit the cache
+          continue;  // compute will hit the cache
         }
         jobs.push_back({&w.targets, w.window});
-        insts.push_back(inst_of(k));
+        ks.push_back(k);
       }
       if (jobs.empty()) return;
       try {
         const OpcEngine engine(sim_, options_.opc);
         std::vector<OpcResult> results = engine.correct_batch(
             jobs.data(), jobs.size(), Exposure{}, tls_scratch_arena());
-        for (std::size_t b = 0; b < insts.size(); ++b) {
-          staged[insts[b]] = std::make_unique<OpcResult>(std::move(results[b]));
+        for (std::size_t b = 0; b < ks.size(); ++b) {
+          staged[ks[b]] = std::make_unique<OpcResult>(std::move(results[b]));
         }
       } catch (...) {
-        for (std::size_t i : insts) staged[i].reset();
+        for (const std::size_t k : ks) staged[k].reset();
       }
     };
   }
 
+  // Retry settings: sign-off quality for the draft iterations and the Abbe
+  // reference engine when the nominal path runs SOCS.
   const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    // Fail-fast mode still names its windows for the fault harness, so an
-    // injected fault aborts the run instead of being silently skipped —
-    // containment is what changes the outcome, not the injection.
-    run_single_flight(plan, /*contain=*/false, threads(), chunk, stage_chunk,
-                      [&](std::size_t k) {
-      const std::size_t i = inst_of(k);
-      const WindowWork& w = work[k];
-      if (journal_) {
-        if (const JournalRecord* hit = journal_->find(w.jfp)) {
-          if (replay_window(*hit, i)) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kOpc, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      std::unique_ptr<OpcResult> mine = std::move(staged[i]);
-      OpcWindowResult r = opc_window(w.window, w.targets, modes[k], sim_,
-                                     options_.opc, cache_key(k), mine.get());
-      masks_[i] = std::move(r.mask);
-      per_window[i] = r.stats;
-      if (journal_) journal_window(w.jfp, i, JournalOutcome{});
-    }, "flow.opc", cancel);
-  } else {
-    // Escalated settings shared by every retry attempt: sign-off quality
-    // for the draft iterations and the Abbe reference engine when the
-    // nominal path runs SOCS.
-    OpcOptions retry_opts = options_.opc;
-    if (rec.escalate_quality) retry_opts.sim_quality = retry_opts.final_quality;
-    LithoSimulator retry_sim = sim_;
-    if (rec.fallback_to_abbe && sim_.imaging().mode == ImagingMode::kSocs) {
-      retry_sim = with_abbe(sim_);
-      retry_opts.sim_imaging = OpcImaging::kAbbe;
-      retry_opts.final_imaging = OpcImaging::kAbbe;
-    }
-    std::vector<ItemOutcome> outcomes(m);
-    std::vector<std::uint64_t> indices(m);
-    for (std::size_t k = 0; k < m; ++k) indices[k] = inst_of(k);
-    const std::vector<IndexedError> escaped = run_single_flight(
-        plan, /*contain=*/true, threads(), chunk, stage_chunk,
-        [&](std::size_t k) {
-          const std::size_t i = inst_of(k);
-          const WindowWork& w = work[k];
-          ItemOutcome& oc = outcomes[k];
-          if (journal_) {
-            if (const JournalRecord* hit = journal_->find(w.jfp)) {
-              if (replay_window(*hit, i)) {
-                // Reconstruct the containment outcome so health() matches
-                // the uninterrupted run entry for entry.
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kOpc, i);
-          std::unique_ptr<OpcResult> mine = std::move(staged[i]);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged corrections ran under nominal settings; retries use
-              // the escalated engine and never consume them.
-              OpcWindowResult r =
-                  attempt == 0
-                      ? opc_window(w.window, w.targets, modes[k], sim_,
-                                   options_.opc, cache_key(k), mine.get())
-                      : opc_window(w.window, w.targets, modes[k], retry_sim,
-                                   retry_opts, /*cache_key=*/nullptr);
-              masks_[i] = std::move(r.mask);
-              per_window[i] = r.stats;
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_window(w.jfp, i,
-                               JournalOutcome{oc.faulted, oc.first_error.code,
-                                              oc.first_error.origin,
-                                              oc.first_error.message,
-                                              static_cast<std::uint32_t>(
-                                                  oc.attempts),
-                                              oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.opc");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: keep the run alive on the drawn (uncorrected) mask and
-          // flag the instance so its gates fall back to drawn-CD timing
-          // instead of extracting CDs from a silently-uncorrected mask.
-          oc.degraded = true;
-          try {
-            masks_[i] = drawn_mask(w.targets);
-          } catch (...) {
-            masks_[i].clear();
-          }
-          per_window[i] = {};
-          per_window[i].windows = 1;
-          opc_degraded_[i] = 1;
-          if (journal_) {
-            journal_window(w.jfp, i,
-                           JournalOutcome{oc.faulted, oc.first_error.code,
-                                          oc.first_error.origin,
-                                          oc.first_error.message,
-                                          static_cast<std::uint32_t>(
-                                              oc.attempts),
-                                          false, true});
-          }
-        },
-        "flow.opc", cancel);
-    // The containment above absorbs everything, so try_parallel_for only
-    // reports bugs in the degrade path itself — still fold them in rather
-    // than lose them.
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      opc_degraded_[inst_of(e.index)] = 1;
-    }
-    record_outcomes("opc", outcomes, indices);
+  OpcOptions retry_opts = options_.opc;
+  if (rec.escalate_quality) retry_opts.sim_quality = retry_opts.final_quality;
+  LithoSimulator retry_sim = sim_;
+  if (rec.fallback_to_abbe && sim_.imaging().mode == ImagingMode::kSocs) {
+    retry_sim = with_abbe(sim_);
+    retry_opts.sim_imaging = OpcImaging::kAbbe;
+    retry_opts.final_imaging = OpcImaging::kAbbe;
   }
+  phase.compute = [&](std::size_t k, std::size_t attempt) {
+    const WindowWork& w = work[k];
+    OpcWindowResult& slot = opc_windows_[phase.index[k]];
+    if (attempt > 0) {
+      slot = opc_window(w.window, w.targets, modes[k], retry_sim, retry_opts,
+                        /*cache_key=*/nullptr);
+      return;
+    }
+    const std::unique_ptr<OpcResult> mine = std::move(staged[k]);
+    slot = opc_window(w.window, w.targets, modes[k], sim_, options_.opc,
+                      w.key ? &*w.key : nullptr, mine.get());
+  };
+  // Degrade: keep the run alive on the drawn (uncorrected) mask and flag
+  // the instance so its gates fall back to drawn-CD timing instead of
+  // extracting CDs from a silently-uncorrected mask.
+  phase.degrade = [&](std::size_t k) {
+    const std::size_t i = phase.index[k];
+    opc_degraded_[i] = 1;
+    OpcWindowResult& slot = opc_windows_[i];
+    slot.stats = {};
+    slot.stats.windows = 1;
+    try {
+      slot.mask = mask_of(work[k].targets);
+    } catch (...) {
+      slot.mask.clear();
+    }
+  };
+  phase.encode = [&](std::size_t k) {
+    const std::size_t i = phase.index[k];
+    return encode_opc_payload(opc_windows_[i], opc_degraded_[i] != 0);
+  };
+  phase.decode = [&](std::size_t k, const JournalRecord& r) {
+    const std::size_t i = phase.index[k];
+    bool degraded = false;
+    if (!decode_opc_payload(r.payload, opc_windows_[i], degraded)) {
+      return false;
+    }
+    opc_degraded_[i] = degraded ? 1 : 0;
+    return true;
+  };
+  run_window_pipeline(phase);
+
   opc_stats_ = {};
-  for (const OpcStats& w : per_window) opc_stats_ = merge_stats(opc_stats_, w);
+  for (const OpcWindowResult& w : opc_windows_) {
+    opc_stats_ = merge_stats(opc_stats_, w.stats);
+  }
   if (caches_) log_cache("OPC window", caches_->opc.counters());
 }
 
@@ -1342,8 +1355,8 @@ void PostOpcFlow::run_opc_selective(
 
 const std::vector<Rect>& PostOpcFlow::mask_for_instance(
     std::size_t instance) const {
-  POC_EXPECTS(instance < masks_.size());
-  return masks_[instance];
+  POC_EXPECTS(instance < opc_windows_.size());
+  return opc_windows_[instance].mask;
 }
 
 GateExtraction PostOpcFlow::extract_gate(GateIdx gate, const Image2D& latent,
@@ -1384,252 +1397,109 @@ std::vector<GateIdx> all_or_subset(
 std::vector<GateExtraction> PostOpcFlow::extract_impl(
     const LithoSimulator& sim, const Exposure& exposure,
     const std::optional<std::vector<GateIdx>>& subset) const {
-  POC_EXPECTS(!masks_.empty());  // run_opc first
+  POC_EXPECTS(!opc_windows_.empty());  // run_opc first
   const std::vector<GateIdx> gates = all_or_subset(design_->netlist, subset);
   // Per-gate silicon/model litho simulation + CD extraction is the flow's
   // dominant cost; every gate is independent and writes its own slot.
   std::vector<GateExtraction> out(gates.size());
-  const CancelToken* cancel = cancel_token();
+  WindowPhase phase("extract", JournalPhase::kExtract,
+                    fault::Domain::kExtract, loop_chunk(sim),
+                    {gates.begin(), gates.end()});
+  const std::vector<WindowWork>& work = phase.work;
+  const auto mask_of_gate = [&](std::size_t k) -> const std::vector<Rect>& {
+    return mask_for_instance(design_->gate_to_instance[gates[k]]);
+  };
 
   // Single-flight pre-pass: the key is the latent image's cache key, so
   // gates of one instance — and of every instance repeating its context —
-  // share one latent.  Gates of a degraded instance skip extraction and
-  // stay unkeyed.
-  const auto degraded = [&](std::size_t k) {
-    return !opc_degraded_.empty() &&
-           opc_degraded_[design_->gate_to_instance[gates[k]]];
-  };
-  std::vector<WindowWork> work(gates.size());
-  const SingleFlight plan = plan_windows(
-      threads(), work, [&](std::size_t k, WindowWork& w) {
-        if (degraded(k)) return;
-        const GateIdx g = gates[k];
-        w.window = design_->litho_window(g, options_.ambit_nm);
-        if (caches_) {
-          w.key = latent_window_fp(
-              sim, mask_for_instance(design_->gate_to_instance[g]), w.window,
-              exposure, options_.extract_quality);
-        }
-        if (journal_) w.jfp = extract_record_fp(sim, exposure, g);
-      });
-  // The nominal latent of gate k: cache hit, staged batch result or scalar
-  // compute.
-  const auto nominal_latent = [&](std::size_t k, Image2D* staged) {
-    const WindowWork& w = work[k];
-    return latent_for_window(
-        sim, mask_for_instance(design_->gate_to_instance[gates[k]]), w.window,
-        exposure, options_.extract_quality, w.key ? &*w.key : nullptr,
-        staged);
+  // share one latent.
+  phase.build = [&](std::size_t k, WindowWork& w) {
+    const GateIdx g = gates[k];
+    // The slot keeps its gate id whatever happens: an empty-device record
+    // is exactly the existing "gate without extraction" path in annotate
+    // (drawn-CD timing), and it still consumes its ACLV noise draw so every
+    // other gate's offset is unchanged.
+    out[k].gate = g;
+    if (opc_degraded_[design_->gate_to_instance[g]]) {
+      // The instance's OPC window already degraded; its drawn-mask
+      // fallback must not feed CDs into STA.  Cheap enough that it is
+      // recomputed on resume rather than journaled.
+      record_degraded_gate(g);
+      w.skip = true;
+      return;
+    }
+    w.window = design_->litho_window(g, options_.ambit_nm);
+    if (caches_) {
+      w.key = latent_window_fp(sim, mask_of_gate(k), w.window, exposure,
+                               options_.extract_quality);
+    }
+    if (journal_) w.jfp = extract_record_fp(sim, exposure, g);
   };
 
-  // Batched staging (see "Batched window execution" in DESIGN.md): the
-  // parallel chunk equals the SoA batch width, and the worker that owns a
-  // chunk of leaders stages it whole at the chunk's first position — probe
-  // journal and latent cache, batch-image only the windows that would
-  // actually compute, park each latent in its per-index slot for the
-  // unchanged per-gate body to consume.  Staged latents are bit-identical
-  // to scalar sim.latent calls, and cache insertion still happens per index
-  // in chunk order, so results, counters and insertion order match the
-  // unbatched loop exactly.
-  const std::size_t chunk = loop_chunk(sim);
+  // Batched staging: the chunk's latents that would compute go through the
+  // SoA engine in one latent_batch call.
   std::vector<std::unique_ptr<Image2D>> staged(gates.size());
-  std::function<void(const ChunkSpan&)> stage_chunk;
   if (batching_enabled(sim)) {
-    stage_chunk = [&](const ChunkSpan& span) {
+    phase.stage = [&](const std::vector<std::size_t>& leaders) {
       std::vector<std::size_t> pending;
-      for (std::size_t p = span.lo; p < span.hi; ++p) {
-        const std::size_t k = plan.leaders[p];
-        const WindowWork& w = work[k];
-        if (degraded(k)) continue;  // nothing to image
-        if (journal_ && journal_->find(w.jfp) != nullptr) {
-          continue;  // will replay from the journal, not compute
-        }
-        if (w.key && caches_->latent.peek(*w.key) != nullptr) {
-          continue;  // the consumption path will hit the cache
+      for (const std::size_t k : leaders) {
+        if (work[k].key && caches_->latent.peek(*work[k].key) != nullptr) {
+          continue;  // compute will hit the cache
         }
         pending.push_back(k);
       }
       if (pending.empty()) return;
       try {
-        ScratchArena& arena = tls_scratch_arena();
         std::vector<Image2D> masks(pending.size());
+        std::vector<const Image2D*> ptrs(pending.size());
         for (std::size_t j = 0; j < pending.size(); ++j) {
-          const std::size_t k = pending[j];
-          masks[j] = sim.rasterize(
-              mask_for_instance(design_->gate_to_instance[gates[k]]),
-              work[k].window, options_.extract_quality);
+          masks[j] = sim.rasterize(mask_of_gate(pending[j]),
+                                   work[pending[j]].window,
+                                   options_.extract_quality);
+          ptrs[j] = &masks[j];
         }
-        // Same-shape groups in first-appearance order; each is one SoA
-        // batch.
-        std::vector<char> grouped(pending.size(), 0);
+        std::vector<Image2D> latents =
+            sim.latent_batch(ptrs.data(), ptrs.size(), exposure,
+                             options_.extract_quality, tls_scratch_arena());
         for (std::size_t j = 0; j < pending.size(); ++j) {
-          if (grouped[j]) continue;
-          std::vector<std::size_t> shape;
-          for (std::size_t t = j; t < pending.size(); ++t) {
-            if (!grouped[t] && masks[t].nx() == masks[j].nx() &&
-                masks[t].ny() == masks[j].ny()) {
-              shape.push_back(t);
-              grouped[t] = 1;
-            }
-          }
-          std::vector<const Image2D*> ptrs;
-          ptrs.reserve(shape.size());
-          for (std::size_t t : shape) ptrs.push_back(&masks[t]);
-          std::vector<Image2D> latents =
-              sim.latent_batch(ptrs.data(), ptrs.size(), exposure,
-                               options_.extract_quality, arena);
-          for (std::size_t t = 0; t < shape.size(); ++t) {
-            staged[pending[shape[t]]] =
-                std::make_unique<Image2D>(std::move(latents[t]));
-          }
+          staged[pending[j]] = std::make_unique<Image2D>(std::move(latents[j]));
         }
       } catch (...) {
-        // Best-effort: cleared slots make the per-gate bodies recompute
-        // scalar, under their own fault scope and containment.
-        for (std::size_t k : pending) staged[k].reset();
+        for (const std::size_t k : pending) staged[k].reset();
       }
     };
   }
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_gate = [&](const Fingerprint& fp, GateIdx g,
-                                const GateExtraction& ext,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kExtract;
-    rec.index = g;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_extract_payload(ext);
-    journal_->append(std::move(rec));
-  };
+
   const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    run_single_flight(plan, /*contain=*/false, threads(), chunk, stage_chunk,
-                      [&](std::size_t k) {
-      const GateIdx g = gates[k];
-      const Fingerprint& jfp = work[k].jfp;
-      if (journal_) {
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_extract_payload(hit->payload, out[k])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kExtract, g);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      std::unique_ptr<Image2D> mine = std::move(staged[k]);
-      const Image2D latent = nominal_latent(k, mine.get());
-      out[k] = extract_gate(g, latent, sim.print_threshold());
-      if (journal_) journal_gate(jfp, g, out[k], JournalOutcome{});
-    }, "flow.extract", cancel);
-  } else {
-    const LithoSimulator retry_sim =
-        rec.fallback_to_abbe && sim.imaging().mode == ImagingMode::kSocs
-            ? with_abbe(sim)
-            : sim;
-    const LithoQuality retry_quality =
-        rec.escalate_quality ? kEscalatedQuality : options_.extract_quality;
-    std::vector<ItemOutcome> outcomes(gates.size());
-    std::vector<std::uint64_t> indices(gates.size());
-    for (std::size_t k = 0; k < gates.size(); ++k) indices[k] = gates[k];
-    const std::vector<IndexedError> escaped = run_single_flight(
-        plan, /*contain=*/true, threads(), chunk, stage_chunk,
-        [&](std::size_t k) {
-          const GateIdx g = gates[k];
-          // The slot keeps its gate id whatever happens below: an empty-
-          // device record is exactly the existing "gate without extraction"
-          // path in annotate (drawn-CD timing), and it still consumes its
-          // ACLV noise draw so every other gate's offset is unchanged.
-          out[k].gate = g;
-          const std::size_t instance = design_->gate_to_instance[g];
-          if (opc_degraded_[instance]) {
-            // The instance's OPC window already degraded; its drawn-mask
-            // fallback must not feed CDs into STA.  Cheap enough that it is
-            // recomputed on resume rather than journaled.
-            record_degraded_gate(g);
-            return;
-          }
-          ItemOutcome& oc = outcomes[k];
-          const Fingerprint& jfp = work[k].jfp;
-          if (journal_) {
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_extract_payload(hit->payload, out[k])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, g,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                if (oc.degraded) record_degraded_gate(g);
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kExtract, g);
-          std::unique_ptr<Image2D> mine = std::move(staged[k]);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged latents were computed under nominal settings, so
-              // retries (fallback sim / escalated quality, no cache) never
-              // consume them.
-              const Image2D latent =
-                  attempt == 0
-                      ? nominal_latent(k, mine.get())
-                      : latent_for_window(retry_sim,
-                                          mask_for_instance(instance),
-                                          work[k].window, exposure,
-                                          retry_quality,
-                                          /*cache_key=*/nullptr);
-              const LithoSimulator& s = attempt == 0 ? sim : retry_sim;
-              out[k] = extract_gate(g, latent, s.print_threshold());
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_gate(jfp, g, out[k],
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(g, "flow.extract");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          oc.degraded = true;
-          out[k].devices.clear();
-          record_degraded_gate(g);
-          if (journal_) {
-            journal_gate(jfp, g, out[k],
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.extract", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      record_degraded_gate(gates[e.index]);
-    }
-    record_outcomes("extract", outcomes, indices);
-  }
+  const LithoSimulator retry_sim =
+      rec.fallback_to_abbe && sim.imaging().mode == ImagingMode::kSocs
+          ? with_abbe(sim)
+          : sim;
+  const LithoQuality retry_quality =
+      rec.escalate_quality ? kEscalatedQuality : options_.extract_quality;
+  phase.compute = [&](std::size_t k, std::size_t attempt) {
+    const bool nominal = attempt == 0;
+    const LithoSimulator& s = nominal ? sim : retry_sim;
+    const std::unique_ptr<Image2D> mine = std::move(staged[k]);
+    const Image2D latent = latent_for_window(
+        s, mask_of_gate(k), work[k].window, exposure,
+        nominal ? options_.extract_quality : retry_quality,
+        nominal && work[k].key ? &*work[k].key : nullptr,
+        nominal ? mine.get() : nullptr);
+    out[k] = extract_gate(gates[k], latent, s.print_threshold());
+  };
+  phase.degrade = [&](std::size_t k) {
+    out[k].devices.clear();
+    record_degraded_gate(gates[k]);
+  };
+  phase.encode = [&](std::size_t k) { return encode_extract_payload(out[k]); };
+  phase.decode = [&](std::size_t k, const JournalRecord& r) {
+    if (!decode_extract_payload(r.payload, out[k])) return false;
+    if (r.outcome.degraded) record_degraded_gate(gates[k]);
+    return true;
+  };
+  run_window_pipeline(phase);
+
   if (caches_) {
     const CacheCounters c = caches_->latent.counters();
     log_debug("latent cache: ", c.hits, " hits / ", c.misses, " misses (",
@@ -1783,37 +1653,40 @@ TimingComparison PostOpcFlow::compare_timing(const Exposure& exposure) {
 PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     const std::vector<ProcessCorner>& conditions,
     const OrcOptions& orc_options) const {
-  POC_EXPECTS(!masks_.empty());  // run_opc first
+  POC_EXPECTS(!opc_windows_.empty());  // run_opc first
   const OpcEngine engine(sim_, options_.opc);
   const std::size_t n = design_->layout.num_instances();
+  std::vector<std::uint64_t> instances(n);
+  for (std::size_t i = 0; i < n; ++i) instances[i] = i;
+  WindowPhase phase("scan", JournalPhase::kScan,
+                    fault::Domain::kScan, loop_chunk(silicon_sim_),
+                    std::move(instances));
+  const std::vector<WindowWork>& work = phase.work;
 
   // Single-flight pre-pass.  The key covers both simulators (run_orc
   // probes pinch/bridge with the silicon latent and measures EPE through
   // the engine's model sim), the options, and the window's targets and
   // post-OPC mask in the local frame; the corners are shared by every
   // window, and each corner's ORC cache key extends it by the exposure.
-  std::vector<WindowWork> work(n);
-  const SingleFlight plan =
-      plan_windows(threads(), work, [&](std::size_t i, WindowWork& w) {
-        w.window = instance_window(design_->layout, i, options_.ambit_nm);
-        w.targets = design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
-        if (caches_ && !w.targets.empty()) {
-          FpHasher h;
-          h.str("orc");
-          hash_sim(h, silicon_sim_);
-          hash_sim(h, sim_);
-          hash_opc_options(h, options_.opc);
-          hash_orc_options(h, orc_options);
-          h.i64(w.window.width()).i64(w.window.height());
-          h.polys(w.targets, w.anchor());
-          h.rects(mask_for_instance(i), w.anchor());
-          w.key = h.digest();
-        }
-        if (journal_) {
-          w.jfp = scan_record_fp(i, w.window, w.targets, conditions,
-                                 orc_options);
-        }
-      });
+  phase.build = [&](std::size_t i, WindowWork& w) {
+    w.window = instance_window(design_->layout, i, options_.ambit_nm);
+    w.targets = design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
+    if (caches_ && !w.targets.empty()) {
+      FpHasher h;
+      h.str("orc");
+      hash_sim(h, silicon_sim_);
+      hash_sim(h, sim_);
+      hash_opc_options(h, options_.opc);
+      hash_orc_options(h, orc_options);
+      h.i64(w.window.width()).i64(w.window.height());
+      h.polys(w.targets, w.anchor());
+      h.rects(mask_for_instance(i), w.anchor());
+      w.key = h.digest();
+    }
+    if (journal_) {
+      w.jfp = scan_record_fp(i, w.window, w.targets, conditions, orc_options);
+    }
+  };
   // Hotspots are judged against the silicon reference, not the model.
   std::vector<Exposure> exposures;
   for (const ProcessCorner& c : conditions) {
@@ -1826,23 +1699,11 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     return h.digest();
   };
 
-  // Batched staging: per (window, corner) the scan consumes two latent
-  // images — the silicon print and the OPC model's view (EPE probes).  The
-  // worker owning a chunk of leaders images both through the SoA engine for
-  // every journal/cache-missing pair and parks them as OrcLatents;
-  // rasterization is sim-independent, so one raster per window feeds both
-  // batches.  Rasters are of the window-local frame, which run_orc_staged
-  // expects.  Corners cannot share a batch (defocus changes the TCC
-  // kernels), so batching runs across the chunk's windows within each
-  // corner.
-  const std::size_t chunk = loop_chunk(silicon_sim_);
-  std::vector<std::vector<std::unique_ptr<OrcLatents>>> staged(n);
-
   // Per-window ORC across all corners; partial reports land in per-window
   // slots and merge in instance order, so violation order and counts match
-  // the serial scan exactly.  Retries (`use_cache` false) bypass the ORC
-  // cache so nothing computed on the recovery path lands under the nominal
-  // key.
+  // the serial scan exactly.  Retries (`use_cache` false) rerun the nominal
+  // simulators but bypass the ORC cache and the staged latents.
+  std::vector<std::vector<std::unique_ptr<OrcLatents>>> staged(n);
   const auto scan_window = [&](std::size_t i, bool use_cache) {
     HotspotReport partial;
     const WindowWork& w = work[i];
@@ -1865,8 +1726,6 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
         }
       }
       if (!cached) {
-        // Staged latents come from the batched pass at nominal settings;
-        // retries (use_cache false) never consume them.
         std::unique_ptr<OrcLatents> mine;
         if (use_cache && staged[i].size() == conditions.size()) {
           mine = std::move(staged[i][c]);
@@ -1902,186 +1761,75 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     return partial;
   };
 
-  std::function<void(const ChunkSpan&)> stage_chunk;
+  // Batched staging: per (window, corner) the scan consumes two latent
+  // images — the silicon print and the OPC model's view (EPE probes).  The
+  // worker owning a chunk of leaders images both through the SoA engine for
+  // every cache-missing pair and parks them as OrcLatents; rasterization is
+  // sim-independent, so one raster per window feeds both batches.  Rasters
+  // are of the window-local frame, which run_orc_staged expects.  Corners
+  // cannot share a batch (defocus changes the TCC kernels), so batching
+  // runs across the chunk's windows within each corner.
   if (batching_enabled(silicon_sim_)) {
-    stage_chunk = [&](const ChunkSpan& span) {
-      struct Win {
-        std::size_t i = 0;
-        Image2D raster;
-      };
-      std::vector<Win> wins;
-      for (std::size_t p = span.lo; p < span.hi; ++p) {
-        const std::size_t i = plan.leaders[p];
-        if (work[i].targets.empty()) continue;
-        if (journal_ && journal_->find(work[i].jfp) != nullptr) {
-          continue;  // will replay from the journal, not compute
-        }
-        wins.push_back({i, Image2D{}});
+    phase.stage = [&](const std::vector<std::size_t>& leaders) {
+      std::vector<std::size_t> wins;
+      for (const std::size_t i : leaders) {
+        if (!work[i].targets.empty()) wins.push_back(i);
       }
       if (wins.empty()) return;
       try {
         ScratchArena& arena = tls_scratch_arena();
-        for (Win& w : wins) {
-          const Point to_local{-work[w.i].window.xlo, -work[w.i].window.ylo};
-          w.raster = silicon_sim_.rasterize(
-              translated(mask_for_instance(w.i), to_local),
-              work[w.i].window.translated(to_local), orc_options.quality);
-          staged[w.i].resize(conditions.size());
+        std::vector<Image2D> rasters(wins.size());
+        for (std::size_t j = 0; j < wins.size(); ++j) {
+          const Rect& window = work[wins[j]].window;
+          const Point to_local{-window.xlo, -window.ylo};
+          rasters[j] = silicon_sim_.rasterize(
+              translated(mask_for_instance(wins[j]), to_local),
+              window.translated(to_local), orc_options.quality);
+          staged[wins[j]].resize(conditions.size());
         }
         for (std::size_t c = 0; c < conditions.size(); ++c) {
           std::vector<std::size_t> missing;
-          for (std::size_t m = 0; m < wins.size(); ++m) {
+          std::vector<const Image2D*> ptrs;
+          for (std::size_t j = 0; j < wins.size(); ++j) {
             // Mirrors the key scan_window builds, so peeks hit iff find
             // will.
             if (caches_ != nullptr &&
-                caches_->orc.peek(corner_fp(wins[m].i, c)) != nullptr) {
+                caches_->orc.peek(corner_fp(wins[j], c)) != nullptr) {
               continue;
             }
-            missing.push_back(m);
+            missing.push_back(wins[j]);
+            ptrs.push_back(&rasters[j]);
           }
-          // Same-shape groups in first-appearance order; one raster per
-          // window serves both the silicon and the model batch.
-          std::vector<char> grouped(missing.size(), 0);
-          for (std::size_t a = 0; a < missing.size(); ++a) {
-            if (grouped[a]) continue;
-            const Image2D& ref = wins[missing[a]].raster;
-            std::vector<std::size_t> shape;
-            for (std::size_t b = a; b < missing.size(); ++b) {
-              const Image2D& rb = wins[missing[b]].raster;
-              if (!grouped[b] && rb.nx() == ref.nx() && rb.ny() == ref.ny()) {
-                shape.push_back(b);
-                grouped[b] = 1;
-              }
-            }
-            std::vector<const Image2D*> ptrs;
-            ptrs.reserve(shape.size());
-            for (std::size_t s : shape) {
-              ptrs.push_back(&wins[missing[s]].raster);
-            }
-            std::vector<Image2D> silicon = silicon_sim_.latent_batch(
-                ptrs.data(), ptrs.size(), exposures[c], orc_options.quality,
-                arena);
-            std::vector<Image2D> model = sim_.latent_batch(
-                ptrs.data(), ptrs.size(), exposures[c], orc_options.quality,
-                arena);
-            for (std::size_t s = 0; s < shape.size(); ++s) {
-              staged[wins[missing[shape[s]]].i][c] =
-                  std::make_unique<OrcLatents>(OrcLatents{
-                      std::move(silicon[s]), std::move(model[s])});
-            }
+          if (missing.empty()) continue;
+          std::vector<Image2D> silicon = silicon_sim_.latent_batch(
+              ptrs.data(), ptrs.size(), exposures[c], orc_options.quality,
+              arena);
+          std::vector<Image2D> model = sim_.latent_batch(
+              ptrs.data(), ptrs.size(), exposures[c], orc_options.quality,
+              arena);
+          for (std::size_t s = 0; s < missing.size(); ++s) {
+            staged[missing[s]][c] = std::make_unique<OrcLatents>(
+                OrcLatents{std::move(silicon[s]), std::move(model[s])});
           }
         }
       } catch (...) {
-        for (const Win& w : wins) staged[w.i].clear();
+        for (const std::size_t i : wins) staged[i].clear();
       }
     };
   }
 
   std::vector<HotspotReport> slots(n);
-  const CancelToken* cancel = cancel_token();
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_scan = [&](const Fingerprint& fp, std::size_t i,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kScan;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_scan_payload(slots[i]);
-    journal_->append(std::move(rec));
+  phase.compute = [&](std::size_t i, std::size_t attempt) {
+    slots[i] = scan_window(i, /*use_cache=*/attempt == 0);
   };
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    run_single_flight(plan, /*contain=*/false, threads(), chunk,
-                      stage_chunk, [&](std::size_t i) {
-      const Fingerprint& jfp = work[i].jfp;
-      if (journal_) {
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_scan_payload(hit->payload, slots[i])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kScan, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      slots[i] = scan_window(i, true);
-      if (journal_) journal_scan(jfp, i, JournalOutcome{});
-    }, "flow.scan", cancel);
-  } else {
-    std::vector<ItemOutcome> outcomes(n);
-    std::vector<std::uint64_t> indices(n);
-    for (std::size_t i = 0; i < n; ++i) indices[i] = i;
-    const std::vector<IndexedError> escaped = run_single_flight(
-        plan, /*contain=*/true, threads(), chunk, stage_chunk,
-        [&](std::size_t i) {
-          ItemOutcome& oc = outcomes[i];
-          const Fingerprint& jfp = work[i].jfp;
-          if (journal_) {
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_scan_payload(hit->payload, slots[i])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kScan, i);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              slots[i] = scan_window(i, /*use_cache=*/attempt == 0);
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_scan(jfp, i,
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.scan");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: the window's violations are dropped (conservative for
-          // timing, not for ORC — the fault record is the signal).
-          oc.degraded = true;
-          slots[i] = {};
-          if (journal_) {
-            journal_scan(jfp, i,
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.scan", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      slots[e.index] = {};
-    }
-    record_outcomes("scan", outcomes, indices);
-  }
+  // Degrade: the window's violations are dropped (conservative for
+  // timing, not for ORC — the fault record is the signal).
+  phase.degrade = [&](std::size_t i) { slots[i] = {}; };
+  phase.encode = [&](std::size_t i) { return encode_scan_payload(slots[i]); };
+  phase.decode = [&](std::size_t i, const JournalRecord& r) {
+    return decode_scan_payload(r.payload, slots[i]);
+  };
+  run_window_pipeline(phase);
 
   HotspotReport report;
   for (HotspotReport& w : slots) {

@@ -90,23 +90,25 @@ struct CacheOptions {
 
 /// Per-window fault containment policy for the hot loops.  When enabled
 /// (the default), a window that throws — CheckError, bad_alloc, non-finite
-/// intensity, OPC non-convergence — is retried up to `max_retries` times
-/// with escalated settings, then degraded instead of aborting the run:
-/// an OPC window falls back to the drawn (uncorrected) mask, an extraction
-/// window falls back to the drawn-CD annotation for its gate, and a scan
-/// window is skipped.  Every fault, retry and degradation is recorded in
+/// intensity, OPC non-convergence — is retried up to `max_retries` times,
+/// then degraded instead of aborting the run: an OPC window falls back to
+/// the drawn (uncorrected) mask, an extraction window falls back to the
+/// drawn-CD annotation for its gate, and a scan window is skipped.  OPC
+/// and extraction retries run escalated settings (the two knobs below); a
+/// scan retry reruns the nominal simulators.  Every retry bypasses the
+/// window caches, so a retry result is never served under the nominal
+/// fingerprint.  Every fault, retry and degradation is recorded in
 /// FlowHealth.  Fault-free results are bit-identical with containment on
-/// or off; disabling restores fail-fast semantics (first error by window
-/// index is rethrown).
+/// or off; disabling restores fail-fast semantics (one attempt, no
+/// degrade, the first error by window index is rethrown).
 struct RecoveryOptions {
   bool enabled = true;
   std::size_t max_retries = 1;
-  /// Retry with sign-off litho quality instead of the nominal (draft /
-  /// standard) setting.  Retries always bypass the window caches, so an
-  /// escalated result can never be served under the nominal fingerprint.
+  /// OPC and extraction retries use sign-off litho quality instead of the
+  /// nominal (draft / standard) setting.
   bool escalate_quality = true;
-  /// Retry with the Abbe reference imaging engine when the faulting window
-  /// was running the SOCS fast path.
+  /// OPC and extraction retries use the Abbe reference imaging engine when
+  /// the faulting window was running the SOCS fast path.
   bool fallback_to_abbe = true;
 };
 
@@ -381,18 +383,20 @@ class PostOpcFlow {
   /// phase "journal" faults.
   std::vector<ReplayIssue> journal_issues() const;
 
-  /// Content-addressed window caches (see CacheOptions).  Defined in
-  /// flow.cpp; declared public only so the file-local disk-tier codecs
-  /// there can name the entry types — the caches_ handle stays private.
-  struct WindowCaches;
-
- private:
-  /// One instance's OPC window result; run_opc merges the stats in
-  /// instance order.
+  /// One instance's OPC window result: its OPC-cache entry (in the
+  /// window-local frame), its journal payload (plus the degraded flag) and
+  /// its per-instance slot; run_opc merges the stats in instance order.
   struct OpcWindowResult {
     std::vector<Rect> mask;
     OpcStats stats;
   };
+  /// Content-addressed window caches (see CacheOptions).  Defined in
+  /// flow.cpp; declared public, like OpcWindowResult, only so the
+  /// file-local codecs there can name the entry types — the caches_ handle
+  /// stays private.
+  struct WindowCaches;
+
+ private:
   /// One instance's OPC window over its prebuilt content (the window and
   /// its drawn targets), computed without touching shared state.
   /// `cache_key` (the window's local-content key), when non-null, routes
@@ -409,7 +413,7 @@ class PostOpcFlow {
                              const Fingerprint* cache_key,
                              OpcResult* staged = nullptr) const;
   /// `subset`, when non-null, restricts the loop to those instance indices
-  /// (ascending); masks_/opc_degraded_ stay design-sized either way.
+  /// (ascending); opc_windows_/opc_degraded_ stay design-sized either way.
   void run_opc_windows(
       const std::function<OpcMode(std::size_t)>& mode_for_instance,
       const std::vector<std::size_t>* subset = nullptr);
@@ -430,19 +434,12 @@ class PostOpcFlow {
                             const Fingerprint* cache_key,
                             Image2D* staged = nullptr) const;
 
-  /// Per-window containment bookkeeping shared by the three hot loops.
-  /// Outcomes land in pre-sized slots and are merged into health_ in window
-  /// index order by record_outcomes() on the calling thread.
-  struct ItemOutcome {
-    bool faulted = false;    ///< at least one attempt threw
-    FlowError first_error;   ///< the first attempt's failure
-    std::size_t attempts = 1;
-    bool recovered = false;
-    bool degraded = false;
-  };
-  void record_outcomes(const char* phase,
-                       const std::vector<ItemOutcome>& outcomes,
-                       const std::vector<std::uint64_t>& indices) const;
+  /// The one driver of the three hot loops (OPC, extraction, hotspot
+  /// scan): single-flight scheduling, journal replay/append, fault scope,
+  /// retry, degrade and the FlowHealth merge.  A WindowPhase (defined in
+  /// flow.cpp) supplies only what differs per loop.
+  struct WindowPhase;
+  void run_window_pipeline(WindowPhase& phase) const;
   void record_degraded_gate(GateIdx gate) const;
 
   /// Effective cancellation token for the hot loops (options().cancel, or
@@ -469,14 +466,15 @@ class PostOpcFlow {
   LithoSimulator silicon_sim_;  ///< the process extraction measures
   FlowOptions options_;
 
-  /// Per layout instance: corrected poly mask for its window (pre-sized
-  /// slots — the parallel engine's write targets).  Empty until run_opc.
-  std::vector<std::vector<Rect>> masks_;
+  /// Per layout instance: corrected poly mask and OPC stats for its window
+  /// (pre-sized slots — the parallel engine's write targets).  Empty until
+  /// run_opc.
+  std::vector<OpcWindowResult> opc_windows_;
   OpcStats opc_stats_;
 
   /// Instances whose OPC window degraded to the drawn mask; their gates
   /// skip extraction (drawn-CD annotation) so a silently-uncorrected mask
-  /// never feeds CDs into STA.  Sized with masks_ by run_opc.
+  /// never feeds CDs into STA.  Sized with opc_windows_ by run_opc.
   std::vector<char> opc_degraded_;
 
   /// Containment record (see health()).  Behind a shared_ptr — like

@@ -74,9 +74,32 @@ std::vector<Image2D> LithoSimulator::latent_batch(
   const QualityContext& ctx = quality_context(quality);
   ImagingOptions imaging = imaging_;
   if (mode) imaging.mode = *mode;
-  std::vector<Image2D> out = aerial_image_blurred_batch(
-      masks, count, ctx.optics, exposure.focus_nm, resist_.diffusion_nm,
-      ctx.source, imaging, arena);
+  // Same-shape groups in first-appearance order; each is one SoA batch.
+  std::vector<Image2D> out(count);
+  std::vector<char> grouped(count, 0);
+  std::vector<const Image2D*> group;
+  std::vector<std::size_t> slots;
+  for (std::size_t j = 0; j < count; ++j) {
+    if (grouped[j]) continue;
+    const Image2D& ref = *masks[j];
+    group.clear();
+    slots.clear();
+    for (std::size_t t = j; t < count; ++t) {
+      const Image2D& m = *masks[t];
+      if (!grouped[t] && m.nx() == ref.nx() && m.ny() == ref.ny() &&
+          m.pixel() == ref.pixel()) {
+        grouped[t] = 1;
+        group.push_back(&m);
+        slots.push_back(t);
+      }
+    }
+    std::vector<Image2D> images = aerial_image_blurred_batch(
+        group.data(), group.size(), ctx.optics, exposure.focus_nm,
+        resist_.diffusion_nm, ctx.source, imaging, arena);
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      out[slots[s]] = std::move(images[s]);
+    }
+  }
   for (Image2D& latent : out) finish_latent(latent, exposure);
   return out;
 }

@@ -63,17 +63,18 @@ class LithoSimulator {
 
   /// The mask transmission grid latent() images: rasterized at the quality
   /// preset's pixel pitch.  The batched hot loops rasterize per window and
-  /// hand same-shape groups to latent_batch below.
+  /// hand the rasters to latent_batch below.
   Image2D rasterize(const std::vector<Rect>& features, const Rect& window,
                     LithoQuality quality = LithoQuality::kStandard) const;
 
-  /// latent() for a batch of same-shape pre-rasterized masks: images all
-  /// `count` masks through the batched SoA engine (SOCS; the Abbe reference
+  /// latent() for a batch of pre-rasterized masks of any shapes: groups
+  /// them by shape (grid size and pixel) in first-appearance order, images
+  /// each group through the batched SoA engine (SOCS; the Abbe reference
   /// falls back to per-mask scalar calls inside the batch layer) and
-  /// finishes each in ascending batch order.  Element w is bit-identical to
-  /// latent() over the features that rasterized masks[w] — batching never
-  /// changes values, only amortizes the transforms.  Scratch comes from
-  /// `arena` (per worker; see tls_scratch_arena).
+  /// finishes each image in ascending batch order.  Element w is
+  /// bit-identical to latent() over the features that rasterized masks[w]
+  /// — batching never changes values, only amortizes the transforms.
+  /// Scratch comes from `arena` (per worker; see tls_scratch_arena).
   std::vector<Image2D> latent_batch(const Image2D* const* masks,
                                     std::size_t count,
                                     const Exposure& exposure,

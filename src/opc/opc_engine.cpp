@@ -226,19 +226,19 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
 
   // Lockstep ticks: every still-iterating window runs iteration `iter`
   // together; its latent images are grouped by (quality phase, resolved
-  // imaging engine, raster shape) and each SOCS group goes through the
-  // batched SoA engine in one pass.  The fragment moves each window makes
-  // depend only on its own latents — batching shares transforms, never
-  // state — so each window walks exactly its scalar trajectory.
+  // imaging engine) and each SOCS group goes through one latent_batch call,
+  // which batches its same-shape rasters through the SoA engine.  The
+  // fragment moves each window makes depend only on its own latents —
+  // batching shares transforms, never state — so each window walks exactly
+  // its scalar trajectory.
   std::vector<Image2D> masks(count);
   std::vector<Image2D> latents(count);
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
     struct GroupKey {
       LithoQuality q;
       bool socs;
-      std::size_t nx, ny;
       bool operator==(const GroupKey& o) const {
-        return q == o.q && socs == o.socs && nx == o.nx && ny == o.ny;
+        return q == o.q && socs == o.socs;
       }
     };
     std::vector<GroupKey> keys;
@@ -259,8 +259,7 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
         masks[j] =
             sim_->rasterize(results[j].mask_rects(), windows[j], quality[j]);
       }
-      const GroupKey key{quality[j], socs, socs ? masks[j].nx() : 0,
-                         socs ? masks[j].ny() : 0};
+      const GroupKey key{quality[j], socs};
       std::size_t g = 0;
       while (g < keys.size() && !(keys[g] == key)) ++g;
       if (g == keys.size()) {

@@ -152,6 +152,10 @@ class RunJournal {
   /// caches, not the journal.  The pointer stays valid for the journal's
   /// lifetime.
   const JournalRecord* find(const Fingerprint& fp);
+  /// Whether find(fp) would return a record, without counting a replay
+  /// hit: batched staging probes the journal before the window's own
+  /// find() replays it.
+  bool has(const Fingerprint& fp) const { return loaded_.count(fp) != 0; }
 
   /// Appends one completed window.  Deduplicates against both the replayed
   /// set and this run's appends (a window recomputed at the same content

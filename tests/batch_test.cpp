@@ -2,6 +2,7 @@
 // bit-identity of every lane against the scalar SOCS path across batch
 // sizes, kernel branches (parity-packed and generic), blur settings and
 // window origins; arena reuse across geometry changes; the Abbe fallback;
+// LithoSimulator::latent_batch over mixed shapes against scalar latent();
 // and the zero-allocation guarantee of a warm batched inner loop (the
 // allocation probe in src/common/alloc_probe.h counts operator-new calls).
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "src/litho/imaging.h"
 #include "src/litho/mask.h"
 #include "src/litho/optics.h"
+#include "src/litho/simulator.h"
 
 namespace poc {
 namespace {
@@ -196,6 +198,53 @@ TEST(BatchSocs, WarmInnerLoopPerformsZeroHeapAllocations) {
   }
   for (std::size_t w = 0; w < out.size(); ++w) {
     EXPECT_TRUE(bit_equal(out[w], ref[w]));
+  }
+}
+
+TEST(LatentBatch, MixedShapesMatchScalarLatentElementwise) {
+  // latent_batch takes rasters of any shape and groups them itself, in
+  // first-appearance order; every element must still equal the scalar
+  // latent() of its own window.  Shapes interleave so that no group is a
+  // contiguous run of the batch.
+  LithoSimulator sim;
+  sim.set_imaging({ImagingMode::kSocs, SocsOptions{}, 0});
+  const Exposure exposure{40.0, 1.02};
+  const LithoQuality quality = LithoQuality::kDraft;
+  struct Window {
+    std::vector<Rect> features;
+    Rect window;
+  };
+  const Rect small{-500, -400, 500, 400};
+  const Rect large{-900, -700, 990, 700};
+  const Rect shifted{380, -700, 2270, 700};
+  const std::vector<Window> windows = {
+      {line_array(90, 250, 3, -400), small},
+      {line_array(80, 220, 6), large},
+      {line_array(100, 260, 3, -450), small},
+      {line_array(90, 260, 5, 580), shifted},
+      {line_array(110, 300, 5), large},
+  };
+  std::vector<Image2D> rasters;
+  for (const Window& w : windows) {
+    rasters.push_back(sim.rasterize(w.features, w.window, quality));
+  }
+  ASSERT_NE(rasters[0].nx(), rasters[1].nx());
+  ASSERT_EQ(rasters[1].nx(), rasters[3].nx());
+
+  std::vector<const Image2D*> ptrs;
+  for (const Image2D& r : rasters) ptrs.push_back(&r);
+  ScratchArena arena;
+  const std::vector<Image2D> got =
+      sim.latent_batch(ptrs.data(), ptrs.size(), exposure, quality, arena);
+  ASSERT_EQ(got.size(), windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const Image2D ref =
+        sim.latent(windows[w].features, windows[w].window, exposure, quality);
+    EXPECT_EQ(got[w].nx(), ref.nx()) << "window " << w;
+    EXPECT_EQ(got[w].ny(), ref.ny()) << "window " << w;
+    EXPECT_EQ(got[w].origin_x(), ref.origin_x()) << "window " << w;
+    EXPECT_EQ(got[w].origin_y(), ref.origin_y()) << "window " << w;
+    EXPECT_EQ(got[w].data(), ref.data()) << "window " << w;
   }
 }
 

@@ -592,6 +592,68 @@ TEST_F(FaultFlowFixture, DisabledRecoveryRestoresFailFast) {
   EXPECT_THROW(flow.extract({}), std::bad_alloc);
 }
 
+TEST_F(FaultFlowFixture, DisabledRecoveryFailsFastInOpcAndScan) {
+  // Fail-fast is every phase's contract, not only extraction's: the
+  // original exception leaves run_opc and scan_hotspots unchanged.
+  const std::vector<ProcessCorner> corners = {{"nominal", {0.0, 1.0}}};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FlowOptions opts = fault_flow_options(threads);
+    opts.recovery.enabled = false;
+    {
+      fault::Config cfg;
+      cfg.enabled = true;
+      cfg.targets.push_back({fault::Kind::kAlloc, fault::Domain::kOpc, 2});
+      ScopedFault plan(cfg);
+      PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
+      EXPECT_THROW(flow.run_opc(OpcMode::kModelBased), std::bad_alloc)
+          << threads << " threads";
+    }
+    fault::Config cfg;
+    cfg.enabled = true;
+    cfg.targets.push_back({fault::Kind::kAlloc, fault::Domain::kScan, 1});
+    ScopedFault plan(cfg);
+    PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
+    flow.run_opc(OpcMode::kModelBased);
+    EXPECT_THROW(flow.scan_hotspots(corners), std::bad_alloc)
+        << threads << " threads";
+  }
+}
+
+TEST_F(FaultFlowFixture, DisabledRecoveryRethrowsTheLowestIndexFault) {
+  // Two faulted gates of different kinds: whatever order the workers hit
+  // them in, the lowest gate's own exception is the one rethrown.
+  const auto first_error = [](fault::Kind at_1, fault::Kind at_3,
+                              std::size_t threads) -> std::string {
+    fault::Config cfg;
+    cfg.enabled = true;
+    cfg.targets.push_back({at_1, fault::Domain::kExtract, 1});
+    cfg.targets.push_back({at_3, fault::Domain::kExtract, 3});
+    ScopedFault plan(cfg);
+    FlowOptions opts = fault_flow_options(threads);
+    opts.recovery.enabled = false;
+    PostOpcFlow flow(design(), lib(), LithoSimulator{}, opts);
+    flow.run_opc(OpcMode::kModelBased);
+    try {
+      flow.extract({});
+    } catch (const FlowException& e) {
+      return std::string("FlowException:") + e.error().origin;
+    } catch (const std::bad_alloc&) {
+      return "bad_alloc";
+    }
+    return "no throw";
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(first_error(fault::Kind::kNanPixel, fault::Kind::kAlloc,
+                          threads),
+              "FlowException:litho.latent")
+        << threads << " threads";
+    EXPECT_EQ(first_error(fault::Kind::kAlloc, fault::Kind::kNanPixel,
+                          threads),
+              "bad_alloc")
+        << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // I/O fault domains: wildcard targets + the vfs shim
 

@@ -650,6 +650,122 @@ TEST(FlowResume, HotspotScanReplaysFromJournal) {
   }
 }
 
+TEST(FlowResume, FaultedRunResumesWithItsHealthBitIdentical) {
+  // A journaled run whose windows faulted: one OPC window, one extraction
+  // gate and one scan window degrade, and one extraction gate recovers on
+  // its retry.  The plan is transient — each (kind, domain, index) fires
+  // once — so a window targeted by two kinds faults on both attempts and
+  // degrades, while a window targeted by one kind recovers.  The resumed
+  // run (no fault plan) must replay every record and rebuild health()
+  // from the journaled outcomes alone, entry for entry.
+  TempDir dir("poc_run_resume_faulted");
+  const std::vector<ProcessCorner> corners = {{"nominal", {0.0, 1.0}}};
+  const std::size_t opc_victim = 0;
+  const std::size_t scan_victim = 1;
+  std::vector<GateIdx> gates;  // gates on instances other than opc_victim
+  for (GateIdx g = 0; g < design().netlist.num_gates(); ++g) {
+    if (design().gate_to_instance[g] != opc_victim) gates.push_back(g);
+  }
+  ASSERT_GE(gates.size(), 2u);
+  const GateIdx extract_victim = gates[0];
+  const GateIdx recovering = gates[1];
+
+  fault::Config cfg;
+  cfg.enabled = true;
+  cfg.transient = true;
+  cfg.targets = {
+      {fault::Kind::kAlloc, fault::Domain::kOpc, opc_victim},
+      {fault::Kind::kConvergenceStall, fault::Domain::kOpc, opc_victim},
+      {fault::Kind::kAlloc, fault::Domain::kExtract, extract_victim},
+      {fault::Kind::kNanPixel, fault::Domain::kExtract, extract_victim},
+      {fault::Kind::kAlloc, fault::Domain::kExtract, recovering},
+      {fault::Kind::kAlloc, fault::Domain::kScan, scan_victim},
+      {fault::Kind::kNanPixel, fault::Domain::kScan, scan_victim},
+  };
+  std::vector<std::vector<Rect>> masks;
+  std::vector<GateExtraction> ext;
+  PostOpcFlow::HotspotReport report;
+  FlowHealth health;
+  std::size_t records = 0;
+  fault::configure(cfg);
+  {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                     journaled_options(2, dir.path));
+    flow.run_opc(OpcMode::kModelBased);
+    ext = flow.extract({});
+    report = flow.scan_hotspots(corners);
+    health = flow.health();
+    for (std::size_t i = 0; i < design().layout.num_instances(); ++i) {
+      masks.push_back(flow.mask_for_instance(i));
+    }
+    records = flow.journal_stats().appended_records;
+  }
+  fault::reset();
+
+  // The faulted run itself: three degraded windows, one recovery.
+  ASSERT_EQ(health.faults.size(), 4u);
+  EXPECT_EQ(health.degraded_windows, 3u);
+  EXPECT_EQ(health.recovered_windows, 1u);
+  EXPECT_EQ(health.faults[0].phase, "opc");
+  EXPECT_EQ(health.faults[0].index, opc_victim);
+  EXPECT_EQ(health.faults[3].phase, "scan");
+  EXPECT_EQ(health.faults[3].index, scan_victim);
+  EXPECT_TRUE(ext[extract_victim].devices.empty());
+  EXPECT_FALSE(ext[recovering].devices.empty());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                     journaled_options(threads, dir.path));
+    flow.run_opc(OpcMode::kModelBased);
+    const std::vector<GateExtraction> ext2 = flow.extract({});
+    const PostOpcFlow::HotspotReport report2 = flow.scan_hotspots(corners);
+    const RunJournal::Stats s = flow.journal_stats();
+    EXPECT_EQ(s.loaded_records, records) << threads << " threads";
+    EXPECT_EQ(s.replayed_hits, records) << threads << " threads";
+    EXPECT_EQ(s.appended_records, 0u) << threads << " threads";
+
+    const FlowHealth h = flow.health();
+    ASSERT_EQ(h.faults.size(), health.faults.size());
+    for (std::size_t f = 0; f < h.faults.size(); ++f) {
+      EXPECT_EQ(h.faults[f].phase, health.faults[f].phase);
+      EXPECT_EQ(h.faults[f].index, health.faults[f].index);
+      EXPECT_EQ(h.faults[f].code, health.faults[f].code);
+      EXPECT_EQ(h.faults[f].origin, health.faults[f].origin);
+      EXPECT_EQ(h.faults[f].attempts, health.faults[f].attempts);
+      EXPECT_EQ(h.faults[f].recovered, health.faults[f].recovered);
+      EXPECT_EQ(h.faults[f].degraded, health.faults[f].degraded);
+    }
+    EXPECT_EQ(h.retries, health.retries);
+    EXPECT_EQ(h.degraded_gates, health.degraded_gates);
+
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      EXPECT_EQ(flow.mask_for_instance(i), masks[i]) << "instance " << i;
+    }
+    ASSERT_EQ(ext2.size(), ext.size());
+    for (std::size_t g = 0; g < ext.size(); ++g) {
+      EXPECT_EQ(ext2[g].gate, ext[g].gate);
+      ASSERT_EQ(ext2[g].devices.size(), ext[g].devices.size());
+      for (std::size_t d = 0; d < ext[g].devices.size(); ++d) {
+        EXPECT_EQ(ext2[g].devices[d].profile.slice_cd_nm,
+                  ext[g].devices[d].profile.slice_cd_nm);
+        EXPECT_EQ(ext2[g].devices[d].eq.ion_ua, ext[g].devices[d].eq.ion_ua);
+        EXPECT_EQ(ext2[g].devices[d].eq.ioff_ua,
+                  ext[g].devices[d].eq.ioff_ua);
+      }
+    }
+    EXPECT_EQ(report2.windows_checked, report.windows_checked);
+    EXPECT_EQ(report2.pinches, report.pinches);
+    EXPECT_EQ(report2.bridges, report.bridges);
+    EXPECT_EQ(report2.epe_violations, report.epe_violations);
+    ASSERT_EQ(report2.hotspots.size(), report.hotspots.size());
+    for (std::size_t i = 0; i < report.hotspots.size(); ++i) {
+      EXPECT_EQ(report2.hotspots[i].instance, report.hotspots[i].instance);
+      EXPECT_EQ(report2.hotspots[i].violation.value_nm,
+                report.hotspots[i].violation.value_nm);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Flow-level rejection reporting (never silently skip)
 
